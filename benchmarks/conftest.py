@@ -2,8 +2,9 @@
 
 Every bench regenerates one table or figure of the paper.  The
 rendered artefact is printed to the terminal *and* written to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference a
-stable file regardless of pytest's output capturing.
+``benchmarks/results/<name>.txt`` so ROADMAP.md (its Performance
+and Experiments sections) can reference a stable file regardless of
+pytest's output capturing.
 """
 
 from __future__ import annotations

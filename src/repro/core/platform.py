@@ -375,7 +375,7 @@ def build_platform(config: PlatformConfig) -> EmulationPlatform:
         receptor = _build_receptor(spec, topology.n_nodes)
         receptor.attach(network.rx[spec.node])
         receptors.append(receptor)
-    _validate_routes(topology, routing, config)
+    _validate_routes(network, config)
     if config.check_deadlock:
         _validate_deadlock_freedom(topology, routing, config)
     return EmulationPlatform(
@@ -407,10 +407,19 @@ def _validate_deadlock_freedom(topology, routing, config) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def _validate_routes(topology, routing, config: PlatformConfig) -> None:
-    """Check a route exists from every TG toward its destinations."""
+def _validate_routes(network: Network, config: PlatformConfig) -> None:
+    """Check a route exists from every TG toward its destinations.
+
+    Reads the dense route rows the network compiled for its switches;
+    only entries they leave open (multipath candidates, missing routes,
+    or a routing function that does not compile) ask the routing
+    function.
+    """
     from repro.traffic.base import DestinationChooser
 
+    topology = network.topology
+    routing = network.routing
+    n_nodes = topology.n_nodes
     for spec in config.tgs:
         params = spec.params
         dst = params.get("dst")
@@ -423,7 +432,14 @@ def _validate_routes(topology, routing, config: PlatformConfig) -> None:
         else:
             destinations = tuple(dst)
         switch = topology.switch_of_node(spec.node)
+        row = network.switches[switch]._route_dense
         for destination in destinations:
+            if (
+                row is not None
+                and 0 <= destination < n_nodes
+                and row[destination] is not None
+            ):
+                continue
             if not routing.ports_for(switch, destination):
                 raise ConfigError(
                     f"routing has no entry at switch {switch} for"

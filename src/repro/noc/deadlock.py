@@ -19,9 +19,10 @@ nothing upstream, sinks always drain) and are excluded.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.noc.routing import RoutingFunction
+from repro.noc.routing import RoutingFunction, compile_dense_route_table
 from repro.noc.topology import Topology
 
 Channel = Tuple[int, int]  # directed switch pair (a, b)
@@ -42,27 +43,73 @@ def channel_dependency_graph(
     packet toward that destination can occupy depends on every output
     channel the routing function may pick next.  Multi-path functions
     contribute all their candidate ports.
+
+    The routes are read from the dense per-switch rows the network
+    compiles (:func:`~repro.noc.routing.compile_dense_route_table`);
+    only entries those rows leave open — multipath candidates and
+    missing routes — ask :meth:`RoutingFunction.ports_for`.  Each
+    destination then costs one pass over its column of next switches
+    (switch ids, -1 for an ejection).
     """
+    n_sw = topology.n_switches
+    n_nodes = topology.n_nodes
     if destinations is None:
-        destinations = range(topology.n_nodes)
-    graph: Dict[Channel, Set[Channel]] = {}
+        destinations = range(n_nodes)
+    # Downstream switch of every output port; -1 marks an ejection
+    # port, which ends the chain.
+    downstream = [
+        {
+            port: ep.target if ep.kind == "switch" else -1
+            for port, ep in enumerate(outs)
+        }
+        for outs in topology.switch_outputs
+    ]
+    # Next switch per (switch, destination node); None where the dense
+    # row leaves the route open (or the routing does not compile).
+    hops = []
+    for s in range(n_sw):
+        row = compile_dense_route_table(routing, s, n_nodes)
+        hops.append(list(map(downstream[s].get, row or [None] * n_nodes)))
+    # One next-switch column per destination; the trailing -1 makes
+    # ``column[-1]`` (what follows an ejection) an ejection too.
+    columns = list(zip(*hops, [-1] * n_nodes))
+    open_column = (None,) * n_sw
+    switches = range(n_sw)
+    # Dependencies ``(s, t, u)`` — channel (s, t) then (t, u) — in the
+    # order they are first met; those with an ejection are dropped
+    # below.
+    dependencies: Dict[Tuple[int, int, int], None] = {}
     for dst in destinations:
-        # Walk backwards: for every switch, the outgoing channels a
-        # packet to `dst` may use.
-        next_channels: Dict[int, List[Channel]] = {}
-        for s in range(topology.n_switches):
-            channels: List[Channel] = []
-            for port in routing.ports_for(s, dst):
-                ep = topology.switch_outputs[s][port]
-                if ep.kind == "switch":
-                    channels.append((s, ep.target))
-                # Ejection ports terminate the chain: no dependency.
-            next_channels[s] = channels
-        for s in range(topology.n_switches):
-            for incoming in next_channels[s]:
-                __, b = incoming
-                for outgoing in next_channels.get(b, ()):
-                    graph.setdefault(incoming, set()).add(outgoing)
+        column = columns[dst] if 0 <= dst < n_nodes else open_column
+        if None not in column:
+            dependencies.update(
+                zip(
+                    zip(switches, column, map(column.__getitem__, column)),
+                    repeat(None),
+                )
+            )
+            continue
+        # Open entries list the next switch of every candidate port.
+        nexts = [
+            ((t,) if t >= 0 else ())
+            if t is not None
+            else tuple(
+                downstream[s][port]
+                for port in routing.ports_for(s, dst)
+                if downstream[s][port] >= 0
+            )
+            for s, t in zip(switches, column)
+        ]
+        dependencies.update(
+            ((s, t, u), None)
+            for s in switches
+            for t in nexts[s]
+            for u in nexts[t]
+        )
+    graph: Dict[Channel, Set[Channel]] = {}
+    for s, t, u in dependencies:
+        if t >= 0 and u >= 0:
+            graph.setdefault((s, t), set()).add((t, u))
     return graph
 
 

@@ -13,9 +13,9 @@ the paper's experimental setup (:func:`paper_routing`).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -52,8 +52,14 @@ def compile_dense_route_table(
     fallback raises the proper :class:`RoutingError`).  Routing
     functions that cannot enumerate their ports (no ``ports_for``)
     compile to ``None``: the switch then routes every head through the
-    function, exactly as before compilation.
+    function, exactly as before compilation.  Plain tables compile
+    directly: one dict row becomes one list.
     """
+    if isinstance(routing, TableRouting):
+        row = routing.tables.get(switch_id)
+        if row is None:
+            return [None] * n_nodes
+        return list(map(row.get, range(n_nodes)))
     try:
         table: List[Optional[int]] = [None] * n_nodes
         for dst in range(n_nodes):
@@ -224,33 +230,95 @@ class XYRouting(RoutingFunction):
 # ----------------------------------------------------------------------
 # Table builders
 # ----------------------------------------------------------------------
-def _reverse_bfs_distances(
-    topo: Topology,
-    dst_switch: int,
-    avoid_links: Optional[AbstractSet[Tuple[int, int]]] = None,
-) -> List[int]:
-    """Hop distance from every switch to ``dst_switch`` (-1 = unreachable).
+#: Per-switch surviving links as ``(port, target switch)`` pairs, in
+#: port order.
+Adjacency = List[List[Tuple[int, int]]]
 
-    ``avoid_links`` excludes directed switch pairs — the fault-repair
-    path of the platform: when a board link fails, the initialisation
-    step rebuilds the tables around it without re-synthesis.
+
+def _switch_adjacency(
+    topo: Topology, avoid: AbstractSet[Tuple[int, int]]
+) -> Tuple[Adjacency, List[List[int]]]:
+    """Out- and in-lists of the switch graph, built once per table build.
+
+    ``avoid`` excludes directed switch pairs — the fault-repair path of
+    the platform: when a board link fails, the initialisation step
+    rebuilds the tables around it without re-synthesis.
     """
-    # Build reverse adjacency once per call; topologies are small.
-    preds: List[List[int]] = [[] for _ in range(topo.n_switches)]
-    for a, b, _delay in topo.switch_edges():
-        if avoid_links and (a, b) in avoid_links:
-            continue
-        preds[b].append(a)
-    dist = [-1] * topo.n_switches
-    dist[dst_switch] = 0
-    frontier = deque([dst_switch])
+    out: Adjacency = [[] for _ in range(topo.n_switches)]
+    into: List[List[int]] = [[] for _ in range(topo.n_switches)]
+    for s, endpoints in enumerate(topo.switch_outputs):
+        for port, ep in enumerate(endpoints):
+            if ep.kind == "switch" and (s, ep.target) not in avoid:
+                out[s].append((port, ep.target))
+                into[ep.target].append(s)
+    return out, into
+
+
+def _bfs_levels(neighbours: List[List[int]], start: int) -> List[int]:
+    """BFS hop count from ``start`` to every switch (-1 = unreachable).
+
+    Over in-lists this is the distance *to* ``start``; over successor
+    lists, the distance *from* it.
+    """
+    dist = [-1] * len(neighbours)
+    dist[start] = 0
+    frontier = [start]
+    hops = 0
     while frontier:
-        s = frontier.popleft()
-        for p in preds[s]:
-            if dist[p] < 0:
-                dist[p] = dist[s] + 1
-                frontier.append(p)
+        hops += 1
+        reached = []
+        for s in frontier:
+            for p in neighbours[s]:
+                if dist[p] < 0:
+                    dist[p] = hops
+                    reached.append(p)
+        frontier = reached
     return dist
+
+
+def _tables_from_columns(
+    topo: Topology,
+    destinations: Optional[Sequence[int]],
+    column_for: Callable[[int, int], Optional[list]],
+    eject: Callable[[int], object],
+) -> Dict[int, Dict[int, object]]:
+    """Per-switch tables from one next-hop column per destination switch.
+
+    Every node on a switch shares its route there except for the last
+    hop, so ``column_for(dst_switch, dst)`` runs once per destination
+    switch (``dst`` is the first destination on it, for error messages)
+    and returns each switch's entry toward it — ``None`` for no entry —
+    or ``None`` when the whole switch is unreachable.  Each destination
+    then takes that column with ``eject(port)`` at its own switch.  Rows
+    keep the destinations' order.
+    """
+    if destinations is None:
+        destinations = range(topo.n_nodes)
+    by_switch: Dict[int, Optional[list]] = {}
+    dsts: List[int] = []
+    cols: List[list] = []
+    for dst in destinations:
+        dst_switch = topo.switch_of_node(dst)
+        if dst_switch not in by_switch:
+            by_switch[dst_switch] = column_for(dst_switch, dst)
+        column = by_switch[dst_switch]
+        if column is None:
+            continue
+        column = list(column)
+        port = topo.output_port_to_node(dst_switch, dst)
+        column[dst_switch] = eject(port)
+        dsts.append(dst)
+        cols.append(column)
+    tables: Dict[int, Dict[int, object]] = {
+        s: {} for s in range(topo.n_switches)
+    }
+    for s, entries in enumerate(zip(*cols)):
+        tables[s] = {
+            dst: entry
+            for dst, entry in zip(dsts, entries)
+            if entry is not None
+        }
+    return tables
 
 
 def build_shortest_path_tables(
@@ -263,39 +331,34 @@ def build_shortest_path_tables(
     Ties are broken toward the lowest-indexed output port, which makes
     the tables reproducible across runs (the platform initialisation
     step writes them verbatim into the switches).  ``avoid_links``
-    routes around failed or reserved directed links ``(a, b)``.
+    routes around failed or reserved directed links ``(a, b)``;
+    switches cut off from a destination get no entry for it (routing
+    raises on use).
     """
-    if destinations is None:
-        destinations = range(topo.n_nodes)
-    avoid = frozenset(avoid_links or ())
-    tables: Dict[int, Dict[int, int]] = {
-        s: {} for s in range(topo.n_switches)
-    }
-    for dst in destinations:
-        dst_switch = topo.switch_of_node(dst)
-        dist = _reverse_bfs_distances(topo, dst_switch, avoid)
-        for s in range(topo.n_switches):
-            if s == dst_switch:
-                tables[s][dst] = topo.output_port_to_node(s, dst)
-                continue
-            if dist[s] < 0:
-                continue  # unreachable: leave no entry, routing will raise
-            best_port = None
-            for port, ep in enumerate(topo.switch_outputs[s]):
-                if ep.kind != "switch":
-                    continue
-                if (s, ep.target) in avoid:
-                    continue
-                if dist[ep.target] == dist[s] - 1:
-                    best_port = port
+    out, into = _switch_adjacency(topo, frozenset(avoid_links or ()))
+
+    def column_for(dst_switch: int, dst: int) -> List[Optional[int]]:
+        dist = _bfs_levels(into, dst_switch)
+        column: List[Optional[int]] = [None] * topo.n_switches
+        for s, d in enumerate(dist):
+            if d <= 0:
+                continue  # the destination switch, or unreachable
+            for port, t in out[s]:
+                if dist[t] == d - 1:
+                    column[s] = port
                     break
-            if best_port is None:
+            else:
                 raise RoutingError(
                     f"inconsistent BFS distances at switch {s} toward"
                     f" node {dst}"
                 )
-            tables[s][dst] = best_port
-    return TableRouting(tables)
+        return column
+
+    return TableRouting(
+        _tables_from_columns(
+            topo, destinations, column_for, lambda port: port
+        )
+    )
 
 
 def build_multipath_tables(
@@ -309,39 +372,34 @@ def build_multipath_tables(
 
     With ``max_paths=2`` this realises the paper's "two routing
     possibilities" on any topology that offers at least two minimal
-    next hops.  ``avoid_links`` routes around failed directed links.
+    next hops.  Candidates are listed in port order.  ``avoid_links``
+    routes around failed directed links.
     """
     if max_paths < 1:
         raise RoutingError("max_paths must be >= 1")
-    if destinations is None:
-        destinations = range(topo.n_nodes)
-    avoid = frozenset(avoid_links or ())
-    tables: Dict[int, Dict[int, List[int]]] = {
-        s: {} for s in range(topo.n_switches)
-    }
-    for dst in destinations:
-        dst_switch = topo.switch_of_node(dst)
-        dist = _reverse_bfs_distances(topo, dst_switch, avoid)
-        for s in range(topo.n_switches):
-            if s == dst_switch:
-                tables[s][dst] = [topo.output_port_to_node(s, dst)]
+    out, into = _switch_adjacency(topo, frozenset(avoid_links or ()))
+
+    def column_for(dst_switch: int, dst: int) -> List[Optional[List[int]]]:
+        dist = _bfs_levels(into, dst_switch)
+        column: List[Optional[List[int]]] = [None] * topo.n_switches
+        for s, d in enumerate(dist):
+            if d <= 0:
                 continue
-            if dist[s] < 0:
-                continue
-            ports = [
-                port
-                for port, ep in enumerate(topo.switch_outputs[s])
-                if ep.kind == "switch"
-                and (s, ep.target) not in avoid
-                and dist[ep.target] == dist[s] - 1
-            ]
+            ports = [port for port, t in out[s] if dist[t] == d - 1]
             if not ports:
                 raise RoutingError(
                     f"inconsistent BFS distances at switch {s} toward"
                     f" node {dst}"
                 )
-            tables[s][dst] = ports[:max_paths]
-    return MultiPathTableRouting(tables, salt=salt)
+            column[s] = ports[:max_paths]
+        return column
+
+    return MultiPathTableRouting(
+        _tables_from_columns(
+            topo, destinations, column_for, lambda port: [port]
+        ),
+        salt=salt,
+    )
 
 
 def build_updown_tables(
@@ -381,80 +439,68 @@ def build_updown_tables(
     entries (the router raises on use), mirroring the degraded
     behaviour of :func:`build_shortest_path_tables`.
     """
-    if not 0 <= root < topo.n_switches:
-        raise RoutingError(
-            f"up*/down* root {root} out of range"
-            f" [0, {topo.n_switches})"
-        )
-    if destinations is None:
-        destinations = range(topo.n_nodes)
-    avoid = frozenset(avoid_links or ())
     n = topo.n_switches
-    # Rank switches by (BFS level from the root, id); "up" edges point
-    # toward strictly lower rank.
-    level = {root: 0}
-    frontier = deque([root])
-    while frontier:
-        s = frontier.popleft()
-        for ep in topo.switch_outputs[s]:
-            if (
-                ep.kind == "switch"
-                and ep.target not in level
-                and (s, ep.target) not in avoid
-            ):
-                level[ep.target] = level[s] + 1
-                frontier.append(ep.target)
-    if len(level) < n and not avoid:
+    if not 0 <= root < n:
+        raise RoutingError(
+            f"up*/down* root {root} out of range [0, {n})"
+        )
+    avoid = frozenset(avoid_links or ())
+    out, _into = _switch_adjacency(topo, avoid)
+    level = _bfs_levels([[t for _port, t in links] for links in out], root)
+    reached = [s for s in range(n) if level[s] >= 0]
+    if len(reached) < n and not avoid:
         raise RoutingError(
             f"topology is not connected from switch {root}:"
-            f" {n - len(level)} switches unreachable"
+            f" {n - len(reached)} switches unreachable"
         )
-    rank = {s: (level[s], s) for s in level}
-    by_rank = sorted(level, key=lambda s: rank[s])
+    # Integer ranks by (BFS level from the root, id); -1 = severed.
+    # "Up" links point toward strictly lower rank.
+    by_rank = sorted(reached, key=lambda s: (level[s], s))
+    rank = [-1] * n
+    for r, s in enumerate(by_rank):
+        rank[s] = r
+    up: Adjacency = [[] for _ in range(n)]
+    down: Adjacency = [[] for _ in range(n)]
+    down_into: List[List[int]] = [[] for _ in range(n)]
+    for s in by_rank:
+        # Every link out of a ranked switch ends at a ranked switch.
+        for port, t in out[s]:
+            if rank[t] < rank[s]:
+                up[s].append((port, t))
+            else:
+                down[s].append((port, t))
+                down_into[t].append(s)
 
-    tables: Dict[int, Dict[int, int]] = {s: {} for s in range(n)}
-    for dst in destinations:
-        dst_switch = topo.switch_of_node(dst)
-        if dst_switch not in rank:
-            continue  # severed from the root's component
-        # Down-only hop distance to dst_switch (reverse BFS over down
-        # edges), plus the port of a deterministic shortest down step.
-        down_dist = [-1] * n
-        down_dist[dst_switch] = 0
-        frontier = deque([dst_switch])
-        while frontier:
-            s = frontier.popleft()
-            for ep in topo.switch_inputs[s]:
-                if (
-                    ep.kind == "switch"
-                    and ep.source in rank
-                    and rank[ep.source] < rank[s]
-                    and down_dist[ep.source] < 0
-                    and (ep.source, s) not in avoid
-                ):
-                    down_dist[ep.source] = down_dist[s] + 1
-                    frontier.append(ep.source)
-        # Total route cost: descend when possible, else climb one up
-        # hop.  Up edges strictly decrease rank, so sweeping switches
-        # in rank order resolves the climb recurrence in one pass.
+    def column_for(
+        dst_switch: int, dst: int
+    ) -> Optional[List[Optional[int]]]:
+        if rank[dst_switch] < 0:
+            return None  # severed from the root's component
+        # Descend along a shortest down-only path when one exists;
+        # otherwise climb to the up neighbour of least total cost.  Up
+        # links strictly decrease rank, so sweeping switches in rank
+        # order resolves the climb recurrence in one pass.
+        down_dist = _bfs_levels(down_into, dst_switch)
         cost = [-1] * n
+        column: List[Optional[int]] = [None] * n
         for s in by_rank:
-            if down_dist[s] >= 0:
-                cost[s] = down_dist[s]
+            d = down_dist[s]
+            if d >= 0:
+                cost[s] = d
+                if d:
+                    for port, t in down[s]:
+                        if down_dist[t] == d - 1:
+                            column[s] = port
+                            break
                 continue
+            best_port = None
             best = -1
-            for ep in topo.switch_outputs[s]:
-                if (
-                    ep.kind != "switch"
-                    or ep.target not in rank
-                    or rank[ep.target] >= rank[s]
-                    or (s, ep.target) in avoid
-                ):
-                    continue
-                c = cost[ep.target]
-                if c >= 0 and (best < 0 or c + 1 < best):
-                    best = c + 1
-            if best < 0:
+            for port, t in up[s]:
+                c = cost[t]
+                if c >= 0 and (best < 0 or c < best):
+                    best_port = port
+                    best = c
+            if best_port is None:
                 if avoid:
                     continue  # unreachable on the faulted fabric
                 raise RoutingError(
@@ -462,43 +508,15 @@ def build_updown_tables(
                     f" cannot reach node {dst} downward; up*/down*"
                     f" needs bidirectional links"
                 )
-            cost[s] = best
-        for s in range(n):
-            if s == dst_switch:
-                tables[s][dst] = topo.output_port_to_node(s, dst)
-                continue
-            if s not in rank or cost[s] < 0:
-                continue  # severed or unreachable under avoidance
-            best_port = None
-            best_cost = None
-            for port, ep in enumerate(topo.switch_outputs[s]):
-                if ep.kind != "switch":
-                    continue
-                t = ep.target
-                if t not in rank or (s, t) in avoid:
-                    continue
-                if down_dist[s] >= 0:
-                    # Committed to descending: shortest down step only.
-                    ok = (
-                        rank[t] > rank[s]
-                        and down_dist[t] == down_dist[s] - 1
-                    )
-                    c = down_dist[s] - 1 if ok else None
-                else:
-                    ok = rank[t] < rank[s] and cost[t] >= 0
-                    c = cost[t] if ok else None
-                if ok and (best_cost is None or c < best_cost):
-                    best_port = port
-                    best_cost = c
-            if best_port is None:
-                if avoid:
-                    continue
-                raise RoutingError(
-                    f"inconsistent up*/down* state at switch {s}"
-                    f" toward node {dst}"
-                )
-            tables[s][dst] = best_port
-    return TableRouting(tables)
+            cost[s] = best + 1
+            column[s] = best_port
+        return column
+
+    return TableRouting(
+        _tables_from_columns(
+            topo, destinations, column_for, lambda port: port
+        )
+    )
 
 
 def build_tables_from_paths(

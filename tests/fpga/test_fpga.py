@@ -2,7 +2,9 @@
 
 The central assertions here ARE the Table 1 reproduction: per-device
 slice counts and percentages, the whole-platform total, and the 50 MHz
-clock — all within the tolerances stated in EXPERIMENTS.md.
+clock — each within the tolerance its assertion states.  The rendered
+table is ``benchmarks/results/table1_fpga_resources.txt`` (written by
+``benchmarks/bench_table1_fpga_resources.py``).
 """
 
 import pytest

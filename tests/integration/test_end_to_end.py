@@ -2,8 +2,8 @@
 
 These tests assert the qualitative *shapes* of the paper's figures
 (burst congests more than uniform; congestion grows with burst length
-and flits/packet; latency saturates), which EXPERIMENTS.md reports
-quantitatively.
+and flits/packet; latency saturates).  The figure benches report them
+quantitatively in ``benchmarks/results/fig_*.txt``.
 """
 
 import pytest
