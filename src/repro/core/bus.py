@@ -11,6 +11,13 @@ and 1024 devices in each internal bus."  The fabric therefore decodes a
 
 Every device owns one 4 KiB register window.  The fabric also counts
 accesses per bus, which the FPGA cost model and the monitor use.
+
+Platform compilation places devices in instantiation order: bus 0
+fills first, slot by slot, then buses 1-3, so a platform holds at most
+``MAX_DEVICES`` (4 x 1024) devices and every platform that fits on bus
+0 keeps its bus-0 addresses.  A device's register bank is built on
+the first access to :attr:`Device.bank`; a build that never touches
+the registers never constructs them.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.core.registers import RegisterBank
 
 N_BUSES = 4
 DEVICES_PER_BUS = 1024
+MAX_DEVICES = N_BUSES * DEVICES_PER_BUS
 DEVICE_WINDOW_BYTES = 4096
 
 _BUS_SHIFT = 22
@@ -37,8 +45,12 @@ class AddressError(EmulationError):
 class Device:
     """Base class of every memory-mapped platform component.
 
-    A device is a register bank plus an identity; subclasses populate
-    the bank and react to writes through register callbacks.
+    A device is a register bank plus an identity.  The bank is built
+    on first access: subclasses populate it in
+    :meth:`_define_registers` and react to writes through register
+    callbacks.  Reset values that depend on mutable device state must
+    be taken in ``__init__`` so the bank reads the same whenever it is
+    first touched.
     """
 
     #: Subclasses set a short type tag used in reports ("tg", "tr", ...).
@@ -46,8 +58,20 @@ class Device:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.bank = RegisterBank(name)
+        self._bank: Optional[RegisterBank] = None
         self.base_address: Optional[int] = None
+
+    @property
+    def bank(self) -> RegisterBank:
+        """The device's register bank, built on first access."""
+        bank = self._bank
+        if bank is None:
+            bank = self._bank = RegisterBank(self.name)
+            self._define_registers(bank)
+        return bank
+
+    def _define_registers(self, bank: RegisterBank) -> None:
+        """Populate ``bank``; subclasses with registers override this."""
 
     def describe(self) -> str:
         """One-line description for the monitor's device listing."""
@@ -98,6 +122,9 @@ class BusFabric:
         self._devices: List[Dict[int, Device]] = [
             {} for _ in range(N_BUSES)
         ]
+        # Per bus, a slot index with every lower slot occupied: the
+        # auto-slot search starts there instead of at slot 0.
+        self._lowest_free = [0] * N_BUSES
         self.reads = [0] * N_BUSES
         self.writes = [0] * N_BUSES
 
@@ -111,22 +138,25 @@ class BusFabric:
 
         With ``slot=None`` the lowest free device index on ``bus`` is
         allocated (the platform-compilation step assigns addresses this
-        way, in instantiation order).
+        way, in instantiation order).  The search resumes from the
+        bus's last auto-allocated slot, so filling a bus costs one
+        probe per device plus one per explicitly taken slot.
         """
         if not 0 <= bus < N_BUSES:
             raise AddressError(
                 f"bus index {bus} out of range [0, {N_BUSES})"
             )
         slots = self._devices[bus]
-        if slot is None:
-            slot = 0
+        auto = slot is None
+        if auto:
+            slot = self._lowest_free[bus]
             while slot in slots:
                 slot += 1
         if slot >= DEVICES_PER_BUS:
             raise AddressError(
                 f"bus {bus} is full ({DEVICES_PER_BUS} devices)"
             )
-        if slot in slots:
+        if not auto and slot in slots:
             raise AddressError(
                 f"device slot {slot} on bus {bus} is already occupied"
                 f" by {slots[slot].name!r}"
@@ -136,6 +166,8 @@ class BusFabric:
                 f"device {device.name!r} is already attached"
             )
         slots[slot] = device
+        if auto:
+            self._lowest_free[bus] = slot + 1
         device.base_address = make_address(bus, slot, 0)
         return device.base_address
 

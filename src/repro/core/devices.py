@@ -9,6 +9,14 @@ accesses — which is what lets parameter changes skip re-synthesis.
 
 Probabilities and rates cross the bus in Q16 fixed point (16 fractional
 bits), as a hardware register bank would carry them.
+
+A device's bank is built on its first access (see
+:class:`~repro.core.bus.Device`): a batch run that never reads a
+register never pays for ~20 registers per node.  The TG's
+configuration registers take their reset values at construction, so
+the bank reads the same whenever it is first touched.  Platform
+compilation attaches the devices to bus 0 first and spills to buses
+1-3 past 1024 devices (see :mod:`repro.core.bus`).
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Optional
 
 from repro.core.bus import Device
 from repro.core.errors import EmulationError
+from repro.core.registers import RegisterBank
 from repro.receptors.base import TrafficReceptor
 from repro.receptors.stochastic import StochasticReceptor
 from repro.receptors.tracedriven import TraceDrivenReceptor
@@ -88,21 +97,27 @@ class TGDevice(Device):
         self.generator = generator
         model = generator.model
         self._model_code = MODEL_CODES.get(type(model), 0)
-        bank = self.bank
+        # Reset values of the configuration registers, taken now: the
+        # bank may first be built after the generator has run.
+        self._reset_seed = model._seed & 0xFFFFFFFF
+        self._reset_max_packets = generator.max_packets or 0
+        self._reset_params = tuple(self._param_read(i) for i in range(3))
+
+    def _define_registers(self, bank: RegisterBank) -> None:
         bank.define("CTRL", value=TG_CTRL_ENABLE, on_write=self._write_ctrl)
-        bank.define("SEED", value=model._seed & 0xFFFFFFFF)
+        bank.define("SEED", value=self._reset_seed)
         bank.define(
             "MAX_PKTS",
-            value=generator.max_packets or 0,
+            value=self._reset_max_packets,
             on_write=self._write_max_packets,
         )
         bank.define(
             "MODEL_TYPE", value=self._model_code, writable=False
         )
-        for i in range(3):
+        for i, value in enumerate(self._reset_params):
             bank.define(
                 f"PARAM{i}",
-                value=self._param_read(i),
+                value=value,
                 on_write=lambda v, _i=i: self._write_param(_i, v),
             )
         bank.define(
@@ -239,7 +254,9 @@ class TRDevice(Device):
     def __init__(self, name: str, receptor: TrafficReceptor) -> None:
         super().__init__(name)
         self.receptor = receptor
-        bank = self.bank
+
+    def _define_registers(self, bank: RegisterBank) -> None:
+        receptor = self.receptor
         bank.define(
             "CTRL", value=TR_CTRL_ENABLE, on_write=self._write_ctrl
         )
@@ -266,9 +283,9 @@ class TRDevice(Device):
             on_read=lambda: self.receptor.running_time,
         )
         if isinstance(receptor, TraceDrivenReceptor):
-            self._define_tracedriven(receptor)
+            self._define_tracedriven(bank, receptor)
         if isinstance(receptor, StochasticReceptor):
-            self._define_stochastic(receptor)
+            self._define_stochastic(bank)
 
     def _write_ctrl(self, value: int) -> None:
         self.receptor.enabled = bool(value & TR_CTRL_ENABLE)
@@ -279,10 +296,11 @@ class TRDevice(Device):
     # ------------------------------------------------------------------
     # Trace-driven registers (latency analyzer + congestion counter)
     # ------------------------------------------------------------------
-    def _define_tracedriven(self, receptor: TraceDrivenReceptor) -> None:
+    def _define_tracedriven(
+        self, bank: RegisterBank, receptor: TraceDrivenReceptor
+    ) -> None:
         lat = receptor.latency
         con = receptor.congestion
-        bank = self.bank
         bank.define(
             "LAT_MIN",
             writable=False,
@@ -325,8 +343,7 @@ class TRDevice(Device):
     # ------------------------------------------------------------------
     # Stochastic registers (histogram window)
     # ------------------------------------------------------------------
-    def _define_stochastic(self, receptor: StochasticReceptor) -> None:
-        bank = self.bank
+    def _define_stochastic(self, bank: RegisterBank) -> None:
         bank.define("HIST_SELECT", value=HIST_LENGTH)
         bank.define("HIST_INDEX", value=0)
         bank.define(

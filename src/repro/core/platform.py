@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.bus import BusFabric
+from repro.core.bus import (
+    DEVICES_PER_BUS,
+    MAX_DEVICES,
+    N_BUSES,
+    BusFabric,
+)
 from repro.core.config import (
     PlatformConfig,
     TGSpec,
@@ -65,8 +70,6 @@ class EmulationPlatform:
         self.receptors = receptors
         self.fabric = BusFabric()
         self.control = ControlDevice()
-        self.tg_devices: List[TGDevice] = []
-        self.tr_devices: List[TRDevice] = []
         # O(1) platform-wide progress counters, maintained by delta
         # hooks on every generator/receptor (so resets through any
         # path — engine, bus registers, reset_statistics — stay
@@ -122,20 +125,33 @@ class EmulationPlatform:
         return wake
 
     def _attach_devices(self) -> None:
-        self.fabric.attach(self.control, bus=0)
-        self.control.get_cycles = lambda: self.network.cycle
-        self.control.get_sent = lambda: self.packets_sent
-        self.control.get_received = lambda: self.packets_received
-        self.control.is_done = lambda: self.is_done
-        self.control.on_stat_reset = self.reset_statistics
-        for generator in self.generators:
-            device = TGDevice(f"tg{generator.node}", generator)
-            self.fabric.attach(device, bus=0)
-            self.tg_devices.append(device)
-        for receptor in self.receptors:
-            device = TRDevice(f"tr{receptor.node}", receptor)
-            self.fabric.attach(device, bus=0)
-            self.tr_devices.append(device)
+        """Attach the control module, then every TG, then every TR.
+
+        Devices take consecutive slots in that instantiation order:
+        bus 0 holds the first 1024 (the control module at slot 0),
+        and each further 1024 spill to the next bus, so device ``i``
+        sits at bus ``i // 1024``, slot ``i % 1024``.  A platform
+        with 511 nodes or fewer fits on bus 0.  :func:`build_platform`
+        refuses platforms past ``MAX_DEVICES`` before building them.
+        """
+        control = self.control
+        control.get_cycles = lambda: self.network.cycle
+        control.get_sent = lambda: self.packets_sent
+        control.get_received = lambda: self.packets_received
+        control.is_done = lambda: self.is_done
+        control.on_stat_reset = self.reset_statistics
+        self.tg_devices: List[TGDevice] = [
+            TGDevice(f"tg{generator.node}", generator)
+            for generator in self.generators
+        ]
+        self.tr_devices: List[TRDevice] = [
+            TRDevice(f"tr{receptor.node}", receptor)
+            for receptor in self.receptors
+        ]
+        attach = self.fabric.attach
+        devices = (control, *self.tg_devices, *self.tr_devices)
+        for index, device in enumerate(devices):
+            attach(device, bus=index // DEVICES_PER_BUS)
 
     # ------------------------------------------------------------------
     # Execution
@@ -322,10 +338,19 @@ class EmulationPlatform:
 def build_platform(config: PlatformConfig) -> EmulationPlatform:
     """Platform compilation: elaborate a config into a platform.
 
-    Validates that TGs/TRs sit on existing nodes, that at most one
-    device occupies each node side, and that the routing tables cover
-    every (generator, destination) pair before anything runs.
+    Validates that the devices fit the bus fabric, that TGs/TRs sit
+    on existing nodes, that at most one device occupies each node
+    side, and that the routing tables cover every (generator,
+    destination) pair before anything runs.
     """
+    n_devices = 1 + len(config.tgs) + len(config.trs)
+    if n_devices > MAX_DEVICES:
+        raise ConfigError(
+            f"platform needs {n_devices} bus devices (control module,"
+            f" {len(config.tgs)} TGs, {len(config.trs)} TRs); the bus"
+            f" fabric holds at most {MAX_DEVICES}"
+            f" ({N_BUSES} buses x {DEVICES_PER_BUS} devices)"
+        )
     topology = config.resolve_topology()
     routing = config.resolve_routing(topology)
     network = Network(

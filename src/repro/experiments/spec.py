@@ -312,6 +312,16 @@ class ScenarioSpec:
         """
         return derive_stream_seed(self.seed, int(self.key, 16), index)
 
+    def stream_seeds(self, count: int) -> List[int]:
+        """Seed registers of generators ``0 .. count - 1``.
+
+        Equal to ``[self.stream_seed(i) for i in range(count)]`` but
+        hashes the spec once instead of once per generator.
+        """
+        digest = int(self.key, 16)
+        seed = self.seed
+        return [derive_stream_seed(seed, digest, i) for i in range(count)]
+
     # ------------------------------------------------------------------
     # Elaboration
     # ------------------------------------------------------------------
@@ -333,7 +343,7 @@ class ScenarioSpec:
                     buffer_depth=self.buffer_depth,
                     seed=self.seed,
                     traffic_params=params,
-                    seeds=[self.stream_seed(i) for i in range(4)],
+                    seeds=self.stream_seeds(4),
                 )
                 config.arbitration = self.arbitration
                 config.switching = SwitchingMode(self.switching)
@@ -354,7 +364,7 @@ class ScenarioSpec:
             switching=SwitchingMode(self.switching),
             seed=self.seed,
             traffic_params=params,
-            seeds=[self.stream_seed(i) for i in range(topo.n_nodes)],
+            seeds=self.stream_seeds(topo.n_nodes),
         )
 
 

@@ -52,8 +52,10 @@ class Link:
             raise ValueError(f"link delay must be >= 1, got {delay}")
         self.delay = delay
         self.name = name
-        self._in_flight: Deque[Tuple[int, Flit]] = deque()
-        self._credits_in_flight: Deque[Tuple[int, int]] = deque()
+        # Standalone flight queues, created on first standalone use:
+        # a network-wired link never has them.
+        self._in_flight: Optional[Deque[Tuple[int, Flit]]] = None
+        self._credits_in_flight: Optional[Deque[Tuple[int, int]]] = None
         # Delivery-wheel wiring (set by the network).  A network-wired
         # link does not queue flights in its own deques: the per-hop
         # hot paths append ``(link, flit)`` straight into the
@@ -111,36 +113,40 @@ class Link:
             )
             self.wire_count += 1
         else:
+            if self._in_flight is None:
+                self._in_flight = deque()
             self._in_flight.append((now + self.delay, flit))
         self.flits_carried += 1
 
     def deliver(self, now: int) -> List[Flit]:
         """Pop all flits whose arrival cycle is ``<= now``."""
         arrived: List[Flit] = []
-        while self._in_flight and self._in_flight[0][0] <= now:
-            arrived.append(self._in_flight.popleft()[1])
+        queue = self._in_flight
+        while queue and queue[0][0] <= now:
+            arrived.append(queue.popleft()[1])
         return arrived
 
     @property
     def occupancy(self) -> int:
         """Number of flits currently in flight."""
-        return len(self._in_flight) + self.wire_count
+        queue = self._in_flight
+        return self.wire_count + (len(queue) if queue else 0)
 
     # ------------------------------------------------------------------
     # Upstream credit path
     # ------------------------------------------------------------------
     def return_credit(self, now: int, count: int = 1) -> None:
         """Send ``count`` credits upstream; they arrive ``delay`` later."""
+        if self._credits_in_flight is None:
+            self._credits_in_flight = deque()
         self._credits_in_flight.append((now + self.delay, count))
 
     def collect_credits(self, now: int) -> int:
         """Number of credits that have completed the return trip."""
         total = 0
-        while (
-            self._credits_in_flight
-            and self._credits_in_flight[0][0] <= now
-        ):
-            total += self._credits_in_flight.popleft()[1]
+        queue = self._credits_in_flight
+        while queue and queue[0][0] <= now:
+            total += queue.popleft()[1]
         return total
 
     # ------------------------------------------------------------------

@@ -71,6 +71,9 @@ class Lfsr32:
     The register must never be zero (the all-zero state is the single
     fixed point of an LFSR), so a zero seed is mapped to a fixed
     non-zero constant exactly as the hardware seed-load logic would.
+    :meth:`next_bits` steps a byte at a time through two 256-entry
+    tables; its output and final state equal ``n`` calls of
+    :meth:`next_bit`.
     """
 
     def __init__(self, seed: int = 0xDEADBEEF) -> None:
@@ -92,14 +95,49 @@ class Lfsr32:
         """Shift out ``n`` bits (LSB first) as an ``n``-bit integer."""
         if not 0 < n <= 64:
             raise ValueError(f"bit count must be in [1, 64], got {n}")
+        state = self.state
         value = 0
-        for i in range(n):
-            value |= self.next_bit() << i
+        shift = 0
+        while n - shift >= 8:
+            low = state & 0xFF
+            value |= _BYTE_OUT[low] << shift
+            state = (state >> 8) ^ _BYTE_FEED[low]
+            shift += 8
+        while shift < n:
+            bit = state & 1
+            state >>= 1
+            if bit:
+                state ^= _GALOIS_MASK_32
+            value |= bit << shift
+            shift += 1
+        self.state = state
         return value
 
     def next_word(self) -> int:
         """A full 32-bit pseudo-random word."""
         return self.next_bits(32)
+
+
+def _byte_step_tables():
+    """Eight Galois steps at once, indexed by the register's low byte.
+
+    Within eight steps the output bits, and the taps the register
+    XORs into itself, depend only on its low byte (the high bits just
+    shift down, and the taps' low bits 0-1 land inside that byte).  The
+    step is linear, so eight steps take ``state`` to
+    ``(state >> 8) ^ feed[state & 0xFF]`` and shift out
+    ``out[state & 0xFF]`` (LSB first).
+    """
+    out, feed = [], []
+    lfsr = Lfsr32()
+    for low in range(256):
+        lfsr.state = low  # set directly: reseed() maps 0 to non-zero
+        out.append(sum(lfsr.next_bit() << i for i in range(8)))
+        feed.append(lfsr.state)
+    return tuple(out), tuple(feed)
+
+
+_BYTE_OUT, _BYTE_FEED = _byte_step_tables()
 
 
 class LfsrRandom:

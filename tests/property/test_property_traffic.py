@@ -52,6 +52,33 @@ def test_rng_determinism(seed):
     ]
 
 
+def bit_serial_next_bits(state, n):
+    """Reference Galois register: ``n`` single steps, LSB first.
+
+    Returns ``(value, final state)``; taps x^32 + x^22 + x^2 + x + 1.
+    """
+    value = 0
+    for i in range(n):
+        bit = state & 1
+        state >>= 1
+        if bit:
+            state ^= 0x80200003
+        value |= bit << i
+    return value, state
+
+
+@given(
+    state=st.integers(min_value=1, max_value=2**32 - 1),
+    widths=st.lists(st.integers(min_value=1, max_value=64), min_size=1),
+)
+def test_byte_table_lfsr_matches_bit_serial_reference(state, widths):
+    lfsr = Lfsr32(state)
+    for n in widths:
+        expected, state = bit_serial_next_bits(state, n)
+        assert lfsr.next_bits(n) == expected
+        assert lfsr.state == state
+
+
 # ----------------------------------------------------------------------
 # Traffic model invariants
 # ----------------------------------------------------------------------
